@@ -5,6 +5,7 @@
 // traced per-layer probes; main.cpp drives a run and prints the metrics.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -113,6 +114,13 @@ void runProbes(const Workload& workload, std::uint64_t baseSeed,
                const CampaignRun& traced, const std::string& workDir,
                Tracer& tracer, LayerMetrics& metrics, Counters& counters,
                Checks& checks);
+
+/// Seconds on the steady clock since `start`.
+inline double secondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
 
 /// "app|tool" key of a cell.
 inline std::string cellKey(const std::string& app, const std::string& tool) {

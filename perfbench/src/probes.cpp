@@ -40,10 +40,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
 std::uint64_t irInstructionCount(const refine::ir::Module& module) {
   std::uint64_t n = 0;
   for (const auto& fn : module.functions()) {

@@ -60,12 +60,6 @@ std::vector<std::string> protectSuiteTools() {
   return out;
 }
 
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 void removeIfPresent(const std::string& path) {
   std::error_code ec;
   std::filesystem::remove(path, ec);
